@@ -1,7 +1,6 @@
 // Command sit-vet is the repo's static-analysis vettool: it runs the
 // internal/analysis suite — lockguard, errtype, journalorder, metriclabel,
-// lockio, admission, directive, hotalloc, lockorder, statecapture — in two
-// modes:
+// lockio, admission, directive, hotalloc, lockorder — in two modes:
 //
 //	go build -o bin/sit-vet ./cmd/sit-vet
 //	go vet -vettool=bin/sit-vet ./...   # unit mode: go vet drives it
@@ -34,14 +33,14 @@ import (
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/metriclabel"
 	"repro/internal/analysis/modrun"
-	"repro/internal/analysis/statecapture"
 	"repro/internal/analysis/unit"
 )
 
 // journalCfg names this repo's durable mutations and its write-ahead
-// helper. The session/equivalence/assertion calls change state the server
-// promises to survive a crash; Store.journal is the one sanctioned door to
-// the workspace journal in front of them.
+// helpers. A durable op's apply and the session/equivalence/assertion
+// calls inside it change state the server promises to survive a crash;
+// journalFn.write — the store's and queue's write-ahead hook — is the
+// sanctioned door to the workspace journal in front of them.
 var journalCfg = journalorder.Config{
 	// The write-ahead contract holds in the durable layer only; the
 	// in-memory session/equivalence/assertion packages and the ephemeral
@@ -56,6 +55,9 @@ var journalCfg = journalorder.Config{
 		"repro/internal/replication_test",
 	},
 	Mutators: []string{
+		// Every durable op's apply; the interface entry also covers each
+		// concrete op record's apply method.
+		"repro/internal/server.durableOp.apply",
 		"repro/internal/session.Workspace.AddSchema",
 		"repro/internal/session.Workspace.RemoveSchema",
 		"repro/internal/equivalence.Registry.Declare",
@@ -66,7 +68,10 @@ var journalCfg = journalorder.Config{
 		"repro/internal/assertion.Engine.Retract",
 	},
 	JournalFns: []string{
-		"repro/internal/server.Store.journal",
+		"repro/internal/server.journalFn.write",
+		// The key set has no store: its record is appended to the default
+		// workspace's journal directly.
+		"repro/internal/journal.Journal.Append",
 		// The follower's sanctioned door: a replicated frame is appended
 		// to the local journal (verbatim leader bytes) before its
 		// operation is applied to the in-memory store.
@@ -99,15 +104,6 @@ var admissionCfg = admission.Config{
 	},
 }
 
-// statecaptureCfg anchors durability-completeness checking in the server
-// package, where the op* journal constants live: every op must have a
-// journal write site, a //sit:replay case, //sit:captures coverage on the
-// snapshot path and //sit:bootstrap coverage on the follower seed path.
-var statecaptureCfg = statecapture.Config{
-	Package:  "repro/internal/server",
-	OpPrefix: "op",
-}
-
 // analyzers is the full suite, in both drivers.
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -120,7 +116,6 @@ func analyzers() []*analysis.Analyzer {
 		directive.New(),
 		hotalloc.New(),
 		lockorder.New(),
-		statecapture.New(statecaptureCfg),
 	}
 }
 

@@ -27,13 +27,11 @@ var known = map[string]arity{
 	"locked":       {1, -1}, // mutexes the caller must hold exclusively
 	"rlocked":      {1, -1}, // mutexes the caller must hold at least for reading
 	"exclusive":    {0, 0},  // single-goroutine section: lock checks off
-	"replay":       {0, 0},  // journal replay path: journalorder/statecapture marker
+	"replay":       {0, 0},  // applies already-journaled records: journalorder exemption
 	"admission":    {0, 0},  // handler runs behind admission control
 	"metriclabel":  {1, -1}, // which parameters feed metric labels
 	"boundedlabel": {0, 0},  // function clamps its result to a bounded set
 	"hotpath":      {0, 0},  // zero-allocation hot path (hotalloc)
-	"captures":     {1, -1}, // journal ops covered by this snapshot function
-	"bootstrap":    {1, -1}, // journal ops covered by this bootstrap function
 }
 
 // New returns the directive analyzer.

@@ -28,3 +28,13 @@ func replay() {} // want "//sit:replay on replay has 1 argument, want exactly 0"
 //
 //sit:hotpath
 func hotOK() {}
+
+// staleCaptures carries a directive whose analyzer was retired.
+//
+//sit:captures opAddSchemas
+func staleCaptures() {} // want "unknown directive //sit:captures on staleCaptures: no analyzer consumes it"
+
+// staleBootstrap carries the other retired directive.
+//
+//sit:bootstrap opAddSchemas
+func staleBootstrap() {} // want "unknown directive //sit:bootstrap on staleBootstrap: no analyzer consumes it"

@@ -10,11 +10,16 @@
 //   - JournalFns: the sanctioned journaling helpers that persist a record
 //     before the mutation applies.
 //
+// A Mutators entry that names an interface method also covers every
+// concrete method implementing it in the interface's package, so naming an
+// op interface's apply catches a direct call on any op record.
+//
 // A mutator call is clean when a journal call lexically precedes it in the
-// same enclosing function declaration. Replay and recovery code applies
-// records that are already durable, so functions marked "//sit:replay" are
-// exempt — the directive declares the function is only reached from
-// journal recovery, it does not silence a live-path finding.
+// same enclosing function declaration. Replay, recovery and an op's own
+// apply method handle records that are already durable, so functions
+// marked "//sit:replay" are exempt — the directive declares the function
+// only ever sees a record after its journal append, it does not silence a
+// live-path finding.
 package journalorder
 
 import (
@@ -86,8 +91,8 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, mutators, journalFns map[s
 		if !ok {
 			return true
 		}
-		name := calleeName(pass, call)
-		if name == "" {
+		callee, name := calleeFunc(pass, call)
+		if callee == nil {
 			return true
 		}
 		switch {
@@ -95,7 +100,7 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, mutators, journalFns map[s
 			if journaled == token.NoPos || call.Pos() < journaled {
 				journaled = call.Pos()
 			}
-		case mutators[name]:
+		case mutators[name] || implementsMutator(callee, mutators):
 			if journaled == token.NoPos || call.Pos() < journaled {
 				pass.Reportf(call.Pos(), "durable mutation %s is not preceded by a journal append in this function; write ahead first or mark the function //sit:replay", name)
 			}
@@ -104,10 +109,10 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, mutators, journalFns map[s
 	})
 }
 
-// calleeName resolves a call to "pkgpath.Recv.Method" / "pkgpath.Func", or
-// "" for calls through function values and other statically unresolvable
-// forms.
-func calleeName(pass *analysis.Pass, call *ast.CallExpr) string {
+// calleeFunc resolves a call's static callee and its name,
+// "pkgpath.Recv.Method" / "pkgpath.Func"; nil for calls through function
+// values and other statically unresolvable forms.
+func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) (*types.Func, string) {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -115,11 +120,11 @@ func calleeName(pass *analysis.Pass, call *ast.CallExpr) string {
 	case *ast.SelectorExpr:
 		id = fun.Sel
 	default:
-		return ""
+		return nil, ""
 	}
 	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
 	if fn == nil || fn.Pkg() == nil {
-		return ""
+		return nil, ""
 	}
 	name := analysis.BasePath(fn.Pkg().Path())
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
@@ -127,7 +132,26 @@ func calleeName(pass *analysis.Pass, call *ast.CallExpr) string {
 			name += "." + rn
 		}
 	}
-	return name + "." + fn.Name()
+	return fn, name + "." + fn.Name()
+}
+
+// implementsMutator reports whether fn is a concrete method implementing
+// an interface method named in mutators, the interface being declared in
+// fn's own package.
+func implementsMutator(fn *types.Func, mutators map[string]bool) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || types.IsInterface(sig.Recv().Type()) {
+		return false
+	}
+	recv, scope := sig.Recv().Type(), fn.Pkg().Scope()
+	for _, name := range scope.Names() {
+		iface, ok := scope.Lookup(name).Type().Underlying().(*types.Interface)
+		if ok && mutators[analysis.BasePath(fn.Pkg().Path())+"."+name+"."+fn.Name()] &&
+			(types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
+			return true
+		}
+	}
+	return false
 }
 
 func namedName(t types.Type) string {

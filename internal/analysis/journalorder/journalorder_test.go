@@ -9,7 +9,7 @@ import (
 
 func TestJournalorder(t *testing.T) {
 	a := journalorder.New(journalorder.Config{
-		Mutators:   []string{"jo/store.DB.Put"},
+		Mutators:   []string{"jo/store.DB.Put", "jo.op.apply"},
 		JournalFns: []string{"jo.Server.journal"},
 	})
 	analyzertest.Run(t, "testdata/src", "jo", a)

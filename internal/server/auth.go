@@ -6,11 +6,11 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -43,12 +43,6 @@ type apiKeyEntry struct {
 	// Workspaces lists the data-plane workspaces the key reaches; the
 	// single entry "*" means all. Ignored for admin keys.
 	Workspaces []string `json:"workspaces,omitempty"`
-}
-
-// setKeysRec is the journaled op_set_keys payload: the full key set,
-// replacing whatever was installed before (last record wins on replay).
-type setKeysRec struct {
-	Keys []apiKeyEntry `json:"keys"`
 }
 
 // keyAuth is one loaded key, ready for request checks.
@@ -271,11 +265,14 @@ func (s *Server) ReloadKeys() error {
 }
 
 // journalKeys appends the key set to the default workspace's journal when
-// it differs from the last journaled set. Leaders only: a follower's key
-// set arrives through the stream it replicates. The dedupe check runs
-// under keyMu but the append deliberately does not — journal I/O under an
-// in-memory lock is a lockio finding — so two concurrent reloads can at
-// worst journal the same set twice, and replay is last-record-wins.
+// it differs from the last journaled set, then applies the record, which
+// makes it the last journaled set. Leaders only: a follower's key set
+// arrives through the stream it replicates. A failed append leaves the
+// last journaled set as it was, so reloading the same file retries the
+// append. The dedupe check runs under keyMu but the append deliberately
+// does not — journal I/O under an in-memory lock is a lockio finding — so
+// two concurrent reloads can at worst journal the same set twice, and
+// replay is last-record-wins.
 func (s *Server) journalKeys(ks *keySet) {
 	if s.dcfg == nil || s.follow.Load() != nil {
 		return
@@ -284,53 +281,38 @@ func (s *Server) journalKeys(ks *keySet) {
 	if err != nil || ws.persist == nil {
 		return
 	}
-	wire, err := json.Marshal(setKeysRec{Keys: ks.wire})
-	if err != nil {
-		return
-	}
 	s.keyMu.Lock()
-	if s.keysJournaled == string(wire) {
-		s.keyMu.Unlock()
+	same := slices.EqualFunc(s.keyEntries, ks.wire, func(a, b apiKeyEntry) bool {
+		return a.Hash == b.Hash && a.Scope == b.Scope && slices.Equal(a.Workspaces, b.Workspaces)
+	})
+	s.keyMu.Unlock()
+	if same {
 		return
 	}
-	s.keysJournaled = string(wire)
-	s.keyEntries = ks.wire
-	s.keyMu.Unlock()
-	if _, err := ws.persist.j.Append(opSetKeys, setKeysRec{Keys: ks.wire}); err != nil && s.log != nil {
-		s.log.Error("journal api keys", "error", err)
+	rec := &setKeysRec{Keys: ks.wire}
+	if _, err := ws.persist.j.Append(rec.op(), rec); err != nil {
+		if s.log != nil {
+			s.log.Error("journal api keys", "error", err)
+		}
+		return
+	}
+	if err := rec.apply(s.target(ws)); err != nil && s.log != nil {
+		s.log.Error("apply api keys", "error", err)
 	}
 }
 
 // applyJournaledKeys installs a key set that arrived through the journal:
-// recovery replay, a follower's replication stream, or a snapshot
-// bootstrap. Entries are already hashes; nothing is re-journaled.
-//
-//sit:replay
+// a leader's own append, recovery replay, a follower's replication stream,
+// or a snapshot bootstrap. Entries are already hashes; nothing is
+// re-journaled.
 func (s *Server) applyJournaledKeys(entries []apiKeyEntry) error {
 	ks, err := buildKeySet(entries, s.limits)
 	if err != nil {
 		return fmt.Errorf("journaled key set: %w", err)
 	}
-	wire, err := json.Marshal(setKeysRec{Keys: entries})
-	if err != nil {
-		return err
-	}
 	s.replKeys.Store(ks)
 	s.keyMu.Lock()
-	s.keysJournaled = string(wire)
 	s.keyEntries = entries
 	s.keyMu.Unlock()
 	return nil
-}
-
-// snapshotKeys returns the journaled key entries for inclusion in the
-// named workspace's snapshot. Only the default workspace carries them (the
-// key set rides its journal); nil otherwise.
-func (s *Server) snapshotKeys(name string) []apiKeyEntry {
-	if name != DefaultWorkspace {
-		return nil
-	}
-	s.keyMu.Lock()
-	defer s.keyMu.Unlock()
-	return s.keyEntries
 }

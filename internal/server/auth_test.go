@@ -3,10 +3,16 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -370,5 +376,81 @@ func TestKeyRateLimit(t *testing.T) {
 	}
 	if codes[http.StatusOK] != 2 || codes[http.StatusTooManyRequests] != 3 {
 		t.Fatalf("status counts = %v, want 2x200 + 3x429", codes)
+	}
+}
+
+// TestKeySetRejournaledAfterFailedAppend: a key set whose journal append
+// failed was never journaled, so reloading the same file appends it, and a
+// follower then enforces it — the rotated-out key stops working there too.
+func TestKeySetRejournaledAfterFailedAppend(t *testing.T) {
+	var failKeys atomic.Bool
+	hooks := journal.Hooks{BeforeAppend: func(line []byte) (int, error) {
+		if failKeys.Load() && bytes.Contains(line, []byte(`"op":"set_keys"`)) {
+			return 0, errors.New("injected: disk full")
+		}
+		return len(line), nil
+	}}
+	leader, _ := openDurable(t, t.TempDir(), hooks)
+	defer leader.Kill()
+	keysDir := t.TempDir()
+	path := writeKeys(t, keysDir, testAdminKey+" admin\n"+testDataKey+" data *\n")
+	if err := leader.SetKeysFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rotate the data key; the rotation's append fails once.
+	const rotatedKey = "test-data-key-2"
+	writeKeys(t, keysDir, testAdminKey+" admin\n"+rotatedKey+" data *\n")
+	failKeys.Store(true)
+	if err := leader.ReloadKeys(); err != nil {
+		t.Fatal(err)
+	}
+	failKeys.Store(false)
+	if err := leader.ReloadKeys(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, _, _, err := leader.Journal().TailSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last setKeysRec
+	for _, line := range bytes.SplitAfter(data, []byte{'\n'}) {
+		if rec, err := journal.ParseFrame(line); err == nil && rec.Op == opSetKeys {
+			if err := json.Unmarshal(rec.Data, &last); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	hashOf := func(token string) string {
+		sum := sha256.Sum256([]byte(token))
+		return hex.EncodeToString(sum[:])
+	}
+	var hashes []string
+	for _, e := range last.Keys {
+		hashes = append(hashes, e.Hash)
+	}
+	if !slices.Contains(hashes, hashOf(rotatedKey)) || slices.Contains(hashes, hashOf(testDataKey)) {
+		t.Fatalf("last journaled key set = %+v, want the rotated set", last.Keys)
+	}
+
+	ts := httptest.NewServer(leader.Handler())
+	defer ts.Close()
+	follower, _, err := Open(
+		Config{Workers: 2, QueueCapacity: 16,
+			Follow: &FollowerConfig{Leader: ts.URL, PollInterval: 3 * time.Millisecond, APIKey: testAdminKey}},
+		DurabilityConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Kill()
+	fs := httptest.NewServer(follower.Handler())
+	defer fs.Close()
+	client := fs.Client()
+	waitFor(t, 10*time.Second, func() bool {
+		return authedGet(t, client, fs.URL+"/v1/schemas", testDataKey).StatusCode == http.StatusUnauthorized
+	}, "follower to reject the rotated-out key")
+	if resp := authedGet(t, client, fs.URL+"/v1/schemas", rotatedKey); resp.StatusCode != http.StatusOK {
+		t.Fatalf("follower read with the rotated key = %d", resp.StatusCode)
 	}
 }

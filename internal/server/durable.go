@@ -1,46 +1,16 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/ecr"
-	"repro/internal/instance"
 	"repro/internal/journal"
-	"repro/internal/session"
-)
-
-// The journaled operations. Store mutations are written ahead of being
-// applied; job records trace each job's lifecycle (a job whose trace stops
-// at "submitted" is re-enqueued on recovery, one stopped at "started"
-// comes back interrupted).
-const (
-	opAddSchemas   = "add_schemas"
-	opRemoveSchema = "remove_schema"
-	opDeclareEquiv = "declare_equiv"
-	opAssert       = "assert"
-	opRetract      = "retract"
-	opJobSubmit    = "job_submit"
-	opJobStart     = "job_start"
-	opJobFinish    = "job_finish"
-	// opSaveIntegration persists one integration result (materialized
-	// schema + mapping table); opLoadRows persists one accepted instance-row
-	// batch. Together they make the federated query layer durable.
-	opSaveIntegration = "save_integration"
-	opLoadRows        = "load_rows"
-	// opSetKeys replaces the API-key set (hashes only, never tokens). It
-	// rides the default workspace's journal so followers replicate and
-	// enforce the same keys; last record wins on replay.
-	opSetKeys = "set_keys"
 )
 
 // Per-workspace on-disk layout: each workspace keeps its own journal and
@@ -55,91 +25,6 @@ const (
 	migrateStagingDir  = ".migrate-" + DefaultWorkspace
 	trashPrefix        = ".trash-"
 )
-
-type addSchemasRec struct {
-	// Schemas carries each schema in the ECR JSON encoding.
-	Schemas []json.RawMessage `json:"schemas"`
-}
-
-type removeSchemaRec struct {
-	Name string `json:"name"`
-}
-
-type declareEquivRec struct {
-	Schema1 string `json:"schema1"`
-	Attr1   string `json:"attr1"`
-	Schema2 string `json:"schema2"`
-	Attr2   string `json:"attr2"`
-}
-
-type assertRec struct {
-	Schema1 string `json:"schema1"`
-	Object1 string `json:"object1"`
-	Code    int    `json:"code"`
-	Schema2 string `json:"schema2"`
-	Object2 string `json:"object2"`
-	Rel     bool   `json:"rel,omitempty"`
-}
-
-type retractRec struct {
-	Schema1 string `json:"schema1"`
-	Object1 string `json:"object1"`
-	Schema2 string `json:"schema2"`
-	Object2 string `json:"object2"`
-	Rel     bool   `json:"rel,omitempty"`
-}
-
-// saveIntegrationRec persists one integration result under a name: the
-// integrated schema and the mapping table, both materialized to JSON, so
-// replay installs them verbatim without re-running the integration.
-type saveIntegrationRec struct {
-	Name    string          `json:"name"`
-	Schema1 string          `json:"schema1"`
-	Schema2 string          `json:"schema2"`
-	Schema  json.RawMessage `json:"schema"`
-	Table   json.RawMessage `json:"table"`
-}
-
-// loadRowsRec persists one accepted row batch; batches are validated before
-// journaling, so replaying them in order always succeeds.
-type loadRowsRec struct {
-	Schema    string         `json:"schema"`
-	Structure string         `json:"structure"`
-	Rows      []instance.Row `json:"rows"`
-}
-
-type jobSubmitRec struct {
-	ID      string     `json:"id"`
-	Request JobRequest `json:"request"`
-	Created time.Time  `json:"created"`
-}
-
-type jobStartRec struct {
-	ID      string    `json:"id"`
-	Started time.Time `json:"started"`
-}
-
-type jobFinishRec struct {
-	ID       string             `json:"id"`
-	State    JobState           `json:"state"`
-	Error    string             `json:"error,omitempty"`
-	Result   *IntegrationResult `json:"result,omitempty"`
-	Finished time.Time          `json:"finished"`
-}
-
-// persistedState is the snapshot body: the full workspace (in the saved-
-// workspace encoding the interactive tool also uses) plus the job table,
-// the federation state (saved integrations and the row-batch log), and —
-// default workspace only — the journaled API-key hashes, so a compacted
-// journal (or a shipped snapshot) still carries the key set.
-type persistedState struct {
-	Workspace    json.RawMessage      `json:"workspace,omitempty"`
-	Jobs         []Job                `json:"jobs,omitempty"`
-	NextJobID    int                  `json:"nextJobId"`
-	Keys         []apiKeyEntry        `json:"keys,omitempty"`
-	Integrations []saveIntegrationRec `json:"integrations,omitempty"`
-	Rows         []loadRowsRec        `json:"rows,omitempty"`
-}
 
 // DurabilityConfig parameterizes the server's journals.
 type DurabilityConfig struct {
@@ -367,53 +252,14 @@ func scanWorkspaceDirs(dir string) ([]string, error) {
 	return names, nil
 }
 
-// decodedState is a snapshot body decoded for recovery or replica
-// bootstrap: the workspace, the job table (indexed by ID), the snapshot's
-// API-key set (default workspace only; nil elsewhere), and the federation
-// state (saved integrations plus the row-batch log).
-type decodedState struct {
-	ws           *session.Workspace
-	jobs         []Job
-	byID         map[string]int
-	nextJobID    int
-	keys         []apiKeyEntry
-	integrations []saveIntegrationRec
-	rows         []loadRowsRec
-}
-
-// decodePersistedState rebuilds a workspace and job table from a snapshot
-// body (recovery, and replica bootstrap — the leader's snapshot wire format
-// IS the snapshot file format).
-func decodePersistedState(state []byte) (*decodedState, error) {
-	dec := &decodedState{ws: session.NewWorkspace(), byID: map[string]int{}}
-	var ps persistedState
-	if err := json.Unmarshal(state, &ps); err != nil {
-		return nil, fmt.Errorf("decode snapshot state: %w", err)
-	}
-	if len(ps.Workspace) > 0 {
-		var err error
-		if dec.ws, err = session.Unmarshal(ps.Workspace); err != nil {
-			return nil, fmt.Errorf("rebuild workspace from snapshot: %w", err)
-		}
-	}
-	for _, job := range ps.Jobs {
-		dec.byID[job.ID] = len(dec.jobs)
-		dec.jobs = append(dec.jobs, job)
-	}
-	dec.nextJobID = ps.NextJobID
-	dec.keys = ps.Keys
-	dec.integrations = ps.Integrations
-	dec.rows = ps.Rows
-	return dec, nil
-}
-
-// recoverWorkspace rebuilds one workspace from its subdirectory: snapshot
-// first, then the journal tail, then the job table is restored into the
-// fresh queue (re-enqueueing still-queued jobs) with journaling armed — or,
-// on a follower, stashed as the replica state with the apply loop taking
-// over where the journal ends.
-//
-//sit:replay
+// recoverWorkspace rebuilds one workspace from its subdirectory — an empty
+// one for a workspace being created: the snapshot is installed first, then
+// the journal tail replayed on top, and the workspace takes its journal
+// and its compaction loop. A follower's workspace becomes a replica:
+// nothing journals through its store or queue — every append flows
+// through the replication apply path — until promotion arms writes. Any
+// other workspace is armed for writes at once, re-enqueueing still-queued
+// jobs.
 func (s *Server) recoverWorkspace(name string) (*Workspace, WorkspaceRecovery, error) {
 	wr := WorkspaceRecovery{Name: name}
 	j, err := journal.Open(filepath.Join(s.dcfg.Dir, name), journal.Options{
@@ -422,230 +268,69 @@ func (s *Server) recoverWorkspace(name string) (*Workspace, WorkspaceRecovery, e
 	if err != nil {
 		return nil, wr, err
 	}
-
-	dec := &decodedState{ws: session.NewWorkspace(), byID: map[string]int{}}
+	ws := s.newWorkspaceFrom(name, NewStore())
+	fail := func(err error) (*Workspace, WorkspaceRecovery, error) {
+		ws.queue.Kill()
+		j.Close()
+		return nil, wr, err
+	}
+	t := s.target(ws)
 	if state, seq, ok := j.Snapshot(); ok {
-		if dec, err = decodePersistedState(state); err != nil {
-			j.Close()
-			return nil, wr, err
+		ps, wsState, err := decodeState(state)
+		if err != nil {
+			return fail(err)
+		}
+		if err := installState(t, ps, wsState); err != nil {
+			return fail(err)
 		}
 		wr.SnapshotSeq = seq
 	}
-
-	// The key set rides the default workspace's journal only; a keys hook on
-	// any other workspace would silently eat a corrupt record.
-	var keysHook func([]apiKeyEntry) error
-	if name == DefaultWorkspace {
-		keysHook = s.applyJournaledKeys
-		if len(dec.keys) > 0 {
-			if err := s.applyJournaledKeys(dec.keys); err != nil {
-				j.Close()
-				return nil, wr, err
-			}
-		}
-	}
-
-	store := NewStoreFrom(dec.ws)
-	if err := store.restoreFederation(dec.integrations, dec.rows); err != nil {
-		j.Close()
-		return nil, wr, fmt.Errorf("restore federation state: %w", err)
-	}
 	for _, rec := range j.Records() {
-		if err := applyRecord(store, rec, dec.byID, &dec.jobs, &dec.nextJobID, keysHook); err != nil {
-			j.Close()
-			return nil, wr, fmt.Errorf("replay journal record %d (%s): %w", rec.Seq, rec.Op, err)
+		if err := replay(t, rec); err != nil {
+			return fail(fmt.Errorf("replay journal record %d (%s): %w", rec.Seq, rec.Op, err))
 		}
 		wr.ReplayedRecords++
 	}
 	wr.DroppedBytes = j.DroppedBytes()
-	wr.Schemas = len(store.SchemaNames())
-	wr.RecoveredJobs = len(dec.jobs)
+	wr.Schemas = len(ws.store.SchemaNames())
+	wr.RecoveredJobs = len(ws.queue.List())
 
-	ws := s.newWorkspaceFrom(name, store)
+	ws.persist = &persister{j: j, stop: make(chan struct{}), done: make(chan struct{})}
+	j.SetObserver(func(fsync time.Duration, err error) {
+		s.metrics.ObserveJournalAppend(fsync, err)
+	})
 	if s.followerAtBuild() {
-		s.armReplica(ws, j, dec.jobs, dec.byID, dec.nextJobID)
+		ws.replica.Store(&replicaState{appliedSeq: j.Seq()})
 	} else {
-		wr.RequeuedJobs, wr.InterruptedJobs = s.armJournal(ws, j, dec.jobs, dec.nextJobID)
+		wr.RequeuedJobs, wr.InterruptedJobs = s.armWrites(ws)
 	}
+	go ws.persist.loop(s, ws)
 	return ws, wr, nil
-}
-
-// applyRecord replays one journal record against the store being rebuilt
-// (store journaling is not armed yet, so nothing is re-journaled). keys,
-// when non-nil, receives op_set_keys payloads — wired only for the default
-// workspace, whose journal carries the key set.
-//
-//sit:replay
-func applyRecord(store *Store, rec journal.Record, byID map[string]int, jobs *[]Job, nextID *int, keys func([]apiKeyEntry) error) error {
-	switch rec.Op {
-	case opSetKeys:
-		if keys == nil {
-			return fmt.Errorf("set_keys record outside the default workspace's journal")
-		}
-		var r setKeysRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		return keys(r.Keys)
-	case opAddSchemas:
-		var r addSchemasRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		schemas := make([]*ecr.Schema, 0, len(r.Schemas))
-		for _, raw := range r.Schemas {
-			s, err := ecr.DecodeJSON(raw)
-			if err != nil {
-				return err
-			}
-			schemas = append(schemas, s)
-		}
-		_, err := store.AddSchemas(schemas)
-		return err
-	case opRemoveSchema:
-		var r removeSchemaRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		_, err := store.RemoveSchema(r.Name)
-		return err
-	case opDeclareEquiv:
-		var r declareEquivRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		return store.DeclareEquivalence(r.Schema1, r.Attr1, r.Schema2, r.Attr2)
-	case opAssert:
-		var r assertRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		_, _, err := store.Assert(r.Schema1, r.Object1, r.Code, r.Schema2, r.Object2, r.Rel)
-		return err
-	case opRetract:
-		var r retractRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		_, err := store.Retract(r.Schema1, r.Object1, r.Schema2, r.Object2, r.Rel)
-		return err
-	case opSaveIntegration:
-		var r saveIntegrationRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		return store.applySaveIntegration(r)
-	case opLoadRows:
-		var r loadRowsRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		return store.applyLoadRows(r)
-	case opJobSubmit:
-		var r jobSubmitRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		if _, ok := byID[r.ID]; ok {
-			// The snapshot already holds this job: it was submitted while a
-			// compaction ran, after the snapshot's cutoff sequence was read
-			// but before the queue state was captured, so its submit record
-			// survived the rewrite too. The snapshot's copy is at least as
-			// fresh; replaying the submit again would duplicate the job.
-			return nil
-		}
-		byID[r.ID] = len(*jobs)
-		*jobs = append(*jobs, Job{ID: r.ID, Request: r.Request, State: JobQueued, Created: r.Created})
-		if n, err := strconv.Atoi(strings.TrimPrefix(r.ID, "job-")); err == nil && n > *nextID {
-			*nextID = n
-		}
-		return nil
-	case opJobStart:
-		var r jobStartRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		if i, ok := byID[r.ID]; ok {
-			(*jobs)[i].State = JobRunning
-			(*jobs)[i].Started = &r.Started
-		}
-		return nil
-	case opJobFinish:
-		var r jobFinishRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		if i, ok := byID[r.ID]; ok {
-			(*jobs)[i].State = r.State
-			(*jobs)[i].Error = r.Error
-			(*jobs)[i].Result = r.Result
-			(*jobs)[i].Finished = &r.Finished
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown operation")
 }
 
 // persister owns one workspace's side of its journal: the compaction loop
 // and the shutdown/crash teardown.
 type persister struct {
-	j     *journal.Journal
-	every int
-	stop  chan struct{}
-	done  chan struct{}
-	// started records whether the compaction loop goroutine was launched.
-	// Follower replicas hold a persister (the journal and teardown are the
-	// same) but compact synchronously from the apply loop instead; their
-	// loop starts only on promotion.
-	started  atomic.Bool
+	j        *journal.Journal
+	stop     chan struct{}
+	done     chan struct{}
 	stopOnce sync.Once
 }
 
 // stopLoop halts the compaction loop and waits for it to exit; safe to
-// call more than once (Shutdown, Delete and Kill all may). A loop that was
-// never started (follower replicas) has nothing to wait for.
+// call more than once (Shutdown, Delete and Kill all may).
 func (p *persister) stopLoop() {
 	p.stopOnce.Do(func() { close(p.stop) })
-	if p.started.Load() {
-		<-p.done
-	}
+	<-p.done
 }
 
-// openWorkspaceJournal provisions a brand-new workspace's journal directory
-// (Create on a durable server) and arms journaling on it — or, on a
-// follower (a workspace discovered on the leader), the replica state.
-func (s *Server) openWorkspaceJournal(ws *Workspace) error {
-	dir := filepath.Join(s.dcfg.Dir, ws.name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("server: create workspace directory: %w", err)
-	}
-	j, err := journal.Open(dir, journal.Options{
-		Sync: s.dcfg.Sync, SyncInterval: s.dcfg.SyncInterval, Hooks: s.dcfg.Hooks,
-	})
-	if err != nil {
-		return err
-	}
-	if s.followerAtBuild() {
-		s.armReplica(ws, j, nil, map[string]int{}, 0)
-	} else {
-		s.armJournal(ws, j, nil, 0)
-	}
-	return nil
-}
-
-// armJournal wires a workspace's journal into its store and queue, restores
-// the recovered job table (re-enqueueing still-queued jobs, which may start
-// executing — and journaling — immediately, which is why the hooks are
-// armed first), and starts the compaction loop.
-func (s *Server) armJournal(ws *Workspace, j *journal.Journal, jobs []Job, nextID int) (requeued, interrupted int) {
-	p := &persister{j: j, every: s.dcfg.SnapshotEvery, stop: make(chan struct{}), done: make(chan struct{})}
-	ws.persist = p
-
-	j.SetObserver(func(fsync time.Duration, err error) {
-		s.metrics.ObserveJournalAppend(fsync, err)
-	})
+// armWrites wires a workspace's journal into its store and queue and
+// resumes the recovered job table (re-enqueueing still-queued jobs, which
+// may start executing — and journaling — immediately, which is why the
+// hooks are armed first).
+func (s *Server) armWrites(ws *Workspace) (requeued, interrupted int) {
 	appendFn := func(op string, v any) error {
-		_, err := j.Append(op, v)
+		_, err := ws.persist.j.Append(op, v)
 		return err
 	}
 	ws.store.SetPersist(appendFn)
@@ -654,10 +339,7 @@ func (s *Server) armJournal(ws *Workspace, j *journal.Journal, jobs []Job, nextI
 			s.log.Error("journal append", "workspace", ws.name, "error", err)
 		}
 	})
-	requeued, interrupted = ws.queue.Restore(jobs, nextID)
-	p.started.Store(true)
-	go p.loop(s, ws)
-	return requeued, interrupted
+	return ws.queue.Restore()
 }
 
 // loop compacts the workspace's journal into a fresh snapshot whenever
@@ -671,7 +353,7 @@ func (p *persister) loop(s *Server, ws *Workspace) {
 		case <-p.stop:
 			return
 		case <-tick.C:
-			if p.j.SinceCompact() >= uint64(p.every) {
+			if p.j.SinceCompact() >= uint64(s.dcfg.SnapshotEvery) {
 				if err := s.compactWorkspace(ws); err != nil && s.log != nil {
 					s.log.Error("compact", "workspace", ws.name, "error", err)
 				}
@@ -706,51 +388,6 @@ func (s *Server) compactWorkspace(ws *Workspace) error {
 	return nil
 }
 
-// captureState captures the workspace's full persisted state (schemas +
-// job table, plus — default workspace only — the journaled key set)
-// together with the journal sequence number it reflects — compaction's
-// input, and also what the replication snapshot endpoint ships. On a
-// replica the job table lives in the replica state instead of the queue.
-//
-// The //sit:captures list is this function's durability contract: every
-// journal op whose effect is carried by the captured state. Adding an op
-// without extending persistedState (and this list) fails `make vet`.
-//
-//sit:captures opAddSchemas opRemoveSchema opDeclareEquiv opAssert opRetract
-//sit:captures opJobSubmit opJobStart opJobFinish
-//sit:captures opSaveIntegration opLoadRows opSetKeys
-func (s *Server) captureState(ws *Workspace) (state []byte, uptoSeq uint64, err error) {
-	if rep := ws.replica.Load(); rep != nil {
-		return rep.capture(s, ws)
-	}
-	st := ws.store
-	st.mu.Lock()
-	// Order matters: read the sequence number first, then capture state.
-	// Every record at or below uptoSeq is fully reflected in the captured
-	// state; records landing after the read are preserved by Compact.
-	uptoSeq = ws.persist.j.Seq()
-	wsData, err := session.Marshal(st.ws)
-	if err != nil {
-		st.mu.Unlock()
-		return nil, 0, err
-	}
-	ints, rows, err := st.federationSnapshotLocked()
-	if err != nil {
-		st.mu.Unlock()
-		return nil, 0, err
-	}
-	jobs, nextID := ws.queue.snapshotState()
-	st.mu.Unlock()
-	state, err = json.Marshal(persistedState{
-		Workspace: wsData, Jobs: jobs, NextJobID: nextID, Keys: s.snapshotKeys(ws.name),
-		Integrations: ints, Rows: rows,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return state, uptoSeq, nil
-}
-
 // Compact snapshots every workspace, returning the first error.
 func (s *Server) Compact() error {
 	var first error
@@ -777,12 +414,15 @@ func (s *Server) oldestSnapshotAge() float64 {
 	return oldest
 }
 
-// closeAllJournals abruptly releases every workspace journal (Open error
-// paths only — no compaction, no sync).
+// closeAllJournals abruptly releases every workspace journal and queue —
+// no compaction, no sync (Kill, and Open's error paths).
 func (s *Server) closeAllJournals() {
 	for _, ws := range s.manager.List() {
 		if ws.persist != nil {
 			ws.persist.stopLoop()
+			// Close the journal fd first: any worker still finishing a job
+			// fails its append harmlessly instead of writing past the
+			// "crash".
 			ws.persist.j.CloseAbrupt()
 		}
 		ws.queue.Kill()
@@ -837,14 +477,5 @@ func (s *Server) Kill() {
 	if f := s.follow.Load(); f != nil {
 		f.halt(false)
 	}
-	for _, ws := range s.manager.List() {
-		if ws.persist != nil {
-			ws.persist.stopLoop()
-			// Close the journal fd first: any worker still finishing a job
-			// fails its append harmlessly instead of writing past the
-			// "crash".
-			ws.persist.j.CloseAbrupt()
-		}
-		ws.queue.Kill()
-	}
+	s.closeAllJournals()
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -71,52 +72,19 @@ func (st *Store) SaveIntegration(name, schema1, schema2 string) (IntegrationInfo
 	if err != nil {
 		return IntegrationInfo{}, err
 	}
-	rec := saveIntegrationRec{
+	rec := &saveIntegrationRec{
 		Name: name, Schema1: schema1, Schema2: schema2,
 		Schema: schemaJSON, Table: tableJSON,
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	// Decode what will be journaled before journaling it: the installed
-	// state is the record's own decoding, so a journaled save always
-	// replays to exactly this state.
-	si, err := decodeSavedIntegration(rec)
-	if err != nil {
+	if err := rec.decode(); err != nil {
 		return IntegrationInfo{}, err
-	}
-	if err := st.journal(opSaveIntegration, rec); err != nil {
-		return IntegrationInfo{}, err
-	}
-	st.integrations[name] = si
-	return si.info(), nil
-}
-
-// decodeSavedIntegration materializes a journaled save record.
-func decodeSavedIntegration(rec saveIntegrationRec) (*savedIntegration, error) {
-	s, err := ecr.DecodeJSON(rec.Schema)
-	if err != nil {
-		return nil, fmt.Errorf("server: integration %q schema: %w", rec.Name, err)
-	}
-	t, err := mapping.DecodeJSON(rec.Table)
-	if err != nil {
-		return nil, fmt.Errorf("server: integration %q mappings: %w", rec.Name, err)
-	}
-	return &savedIntegration{
-		name: rec.Name, schema1: rec.Schema1, schema2: rec.Schema2,
-		schema: s, table: t,
-	}, nil
-}
-
-// applySaveIntegration is the journal-replay entrypoint for a save record.
-func (st *Store) applySaveIntegration(rec saveIntegrationRec) error {
-	si, err := decodeSavedIntegration(rec)
-	if err != nil {
-		return err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.integrations[rec.Name] = si
-	return nil
+	if err := st.commit(rec); err != nil {
+		return IntegrationInfo{}, err
+	}
+	return rec.si.info(), nil
 }
 
 // Integrations lists the saved integrations sorted by name.
@@ -172,66 +140,72 @@ func (st *Store) LoadRows(schemaName, structure string, rows []instance.Row) (to
 	if err := is.ValidateRows(structure, rows); err != nil {
 		return 0, err
 	}
-	rec := loadRowsRec{Schema: schemaName, Structure: structure, Rows: rows}
-	if err := st.journal(opLoadRows, rec); err != nil {
+	rec := &loadRowsRec{Schema: schemaName, Structure: structure, Rows: rows}
+	if err := st.commit(rec); err != nil {
 		return 0, err
 	}
-	if err := is.InsertAll(structure, rows); err != nil {
-		return 0, err // unreachable after ValidateRows
-	}
-	st.rowLog = append(st.rowLog, rec)
-	return is.Count(structure), nil
-}
-
-// applyLoadRows is the journal-replay entrypoint for a row batch.
-func (st *Store) applyLoadRows(rec loadRowsRec) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.applyLoadRowsLocked(rec)
-}
-
-//sit:locked mu
-func (st *Store) applyLoadRowsLocked(rec loadRowsRec) error {
-	is, err := st.instanceForLocked(rec.Schema)
-	if err != nil {
-		return err
-	}
-	if err := is.InsertAll(rec.Structure, rec.Rows); err != nil {
-		return err
-	}
-	st.rowLog = append(st.rowLog, rec)
-	return nil
+	return rec.total, nil
 }
 
 // instanceForLocked resolves (creating on first touch) the instance store
-// for a schema name: an existing store, a workspace component schema, or a
-// saved integration's materialized schema, in that order.
+// for a schema name: an existing store, else one over the schema the name
+// denotes.
 //
 //sit:locked mu
 func (st *Store) instanceForLocked(schemaName string) (*instance.Store, error) {
 	if is := st.instances[schemaName]; is != nil {
 		return is, nil
 	}
-	var schema *ecr.Schema
-	if s := st.ws.Schema(schemaName); s != nil {
-		schema = s.Clone()
-	} else {
-		for _, si := range st.integrations {
-			if si.schema.Name == schemaName {
-				schema = si.schema.Clone()
-				break
-			}
-		}
-	}
+	schema := st.resolveSchemaLocked(schemaName)
 	if schema == nil {
 		return nil, fmt.Errorf("server: schema %q %w (neither a component schema nor a saved integration's schema)", schemaName, ErrNotFound)
 	}
-	is, err := instance.NewStore(schema)
+	is, err := instance.NewStore(schema.Clone())
 	if err != nil {
 		return nil, err
 	}
 	st.instances[schemaName] = is
 	return is, nil
+}
+
+// resolveSchemaLocked returns the schema a name denotes: a workspace
+// component schema, else the materialized schema of a saved integration
+// (the first by integration name), else nil.
+//
+//sit:rlocked mu
+func (st *Store) resolveSchemaLocked(name string) *ecr.Schema {
+	if s := st.ws.Schema(name); s != nil {
+		return s
+	}
+	for _, n := range st.integrationNamesLocked() {
+		if si := st.integrations[n]; si.schema.Name == name {
+			return si.schema
+		}
+	}
+	return nil
+}
+
+// pruneStaleLocked drops the instance store and row batches of a schema
+// name that no longer denotes the schema its rows were loaded under — a
+// saved integration overwritten by a different one, or an integration's
+// schema shadowed by a new component schema. A snapshot rebuilds instance
+// stores from what their names denote now, so rows under a superseded
+// schema could not be restored from it.
+//
+//sit:locked mu
+func (st *Store) pruneStaleLocked(name string) {
+	is := st.instances[name]
+	if is == nil {
+		return
+	}
+	if cur := st.resolveSchemaLocked(name); cur != nil {
+		a, errA := ecr.EncodeJSON(cur)
+		b, errB := ecr.EncodeJSON(is.Schema())
+		if errA == nil && errB == nil && bytes.Equal(a, b) {
+			return
+		}
+	}
+	st.pruneFederationLocked(name)
 }
 
 // pruneFederationLocked drops the instance store and row batches of a
@@ -363,48 +337,26 @@ func (st *Store) TranslateQuery(integration string, q mapping.Query, direction s
 	return res, nil
 }
 
-// federationSnapshotLocked renders the federation state for a snapshot: the
-// saved integrations re-materialized to their record form, plus the row-
-// batch log (recovery rebuilds the instance stores by replaying it).
+// integrationRecsLocked re-materializes the saved integrations to their
+// record form for a snapshot.
 //
 //sit:locked mu
-func (st *Store) federationSnapshotLocked() ([]saveIntegrationRec, []loadRowsRec, error) {
+func (st *Store) integrationRecsLocked() ([]saveIntegrationRec, error) {
 	var ints []saveIntegrationRec
 	for _, name := range st.integrationNamesLocked() {
 		si := st.integrations[name]
 		schemaJSON, err := ecr.EncodeJSON(si.schema)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		tableJSON, err := mapping.EncodeJSON(si.table)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		ints = append(ints, saveIntegrationRec{
 			Name: si.name, Schema1: si.schema1, Schema2: si.schema2,
 			Schema: schemaJSON, Table: tableJSON,
 		})
 	}
-	return ints, append([]loadRowsRec(nil), st.rowLog...), nil
-}
-
-// restoreFederation reinstalls snapshot federation state: the saved
-// integrations verbatim, then the instance stores rebuilt by replaying the
-// row-batch log (recovery and replica bootstrap).
-func (st *Store) restoreFederation(ints []saveIntegrationRec, rows []loadRowsRec) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, rec := range ints {
-		si, err := decodeSavedIntegration(rec)
-		if err != nil {
-			return fmt.Errorf("restore integration %q: %w", rec.Name, err)
-		}
-		st.integrations[rec.Name] = si
-	}
-	for _, rec := range rows {
-		if err := st.applyLoadRowsLocked(rec); err != nil {
-			return fmt.Errorf("restore rows for %s.%s: %w", rec.Schema, rec.Structure, err)
-		}
-	}
-	return nil
+	return ints, nil
 }

@@ -779,16 +779,12 @@ func (s *Server) handleJobsPost(ws *Workspace, w http.ResponseWriter, r *http.Re
 }
 
 func (s *Server) handleJobsList(ws *Workspace, w http.ResponseWriter, r *http.Request) {
-	jobs := ws.jobsView()
-	if jobs == nil {
-		jobs = []Job{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": ws.queue.List()})
 }
 
 func (s *Server) handleJobGet(ws *Workspace, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	job, ok := ws.jobView(id)
+	job, ok := ws.queue.Get(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("job %q not found", id))
 		return

@@ -101,10 +101,8 @@ type Queue struct {
 	wg     sync.WaitGroup
 
 	mu     sync.Mutex
-	byID   map[string]*Job // guarded by mu
-	order  []string        // guarded by mu
-	nextID int             // guarded by mu
-	closed bool            // guarded by mu
+	table  jobTable // guarded by mu
+	closed bool     // guarded by mu
 	// depth is the number of jobs submitted but not yet terminal.
 	depth int // guarded by mu
 
@@ -117,7 +115,7 @@ type Queue struct {
 	// caused by queue teardown are deliberately not journaled: a job whose
 	// log ends at "submitted" is re-enqueued by the next process, one
 	// whose log ends at "started" comes back as interrupted.
-	persist func(op string, v any) error // guarded by mu
+	persist journalFn // guarded by mu
 	// persistErr receives journal failures on paths that cannot reject
 	// (state transitions); nil drops them.
 	persistErr func(error) // guarded by mu
@@ -142,7 +140,7 @@ func NewQueue(workers, capacity int, timeout time.Duration, exec JobExecutor) *Q
 		jobs:    make(chan *Job, capacity),
 		timeout: timeout,
 		cancel:  cancel,
-		byID:    map[string]*Job{},
+		table:   jobTable{byID: map[string]*Job{}},
 	}
 	q.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -205,32 +203,20 @@ func (q *Queue) Submit(req JobRequest) (Job, error) {
 		q.mu.Unlock()
 		return Job{}, fmt.Errorf("server: %w (capacity %d)", errQueueFull, cap(q.jobs))
 	}
-	q.nextID++
-	job := &Job{
-		ID:      fmt.Sprintf("job-%d", q.nextID),
-		Request: req,
-		State:   JobQueued,
-		Created: time.Now().UTC(),
-	}
-	if q.persist != nil {
-		if err := q.persist(opJobSubmit, jobSubmitRec{ID: job.ID, Request: req, Created: job.Created}); err != nil {
-			// The ID is burned, never reused: if the journal could not roll
-			// the failed record back (it is sticky-broken then), a reused ID
-			// would collide with that record on replay.
-			q.mu.Unlock()
-			return Job{}, fmt.Errorf("server: job not accepted, journal unavailable: %w", err)
-		}
-	}
-	select {
-	case q.jobs <- job:
-	default:
-		// Unreachable: capacity was checked under the lock above. The ID is
-		// burned here too — its submit record may already be journaled.
+	q.table.nextID++
+	rec := &jobSubmitRec{ID: fmt.Sprintf("job-%d", q.table.nextID), Request: req, Created: time.Now().UTC()}
+	if err := q.persist.write(rec); err != nil {
+		// The ID is burned, never reused: if the journal could not roll
+		// the failed record back (it is sticky-broken then), a reused ID
+		// would collide with that record on replay.
 		q.mu.Unlock()
-		return Job{}, fmt.Errorf("server: %w (capacity %d)", errQueueFull, cap(q.jobs))
+		return Job{}, fmt.Errorf("server: job not accepted, journal unavailable: %w", err)
 	}
-	q.byID[job.ID] = job
-	q.order = append(q.order, job.ID)
+	rec.apply(opTarget{q: q})
+	job := q.table.byID[rec.ID]
+	// Cannot block: room was checked under the lock above, and workers only
+	// drain the buffer.
+	q.jobs <- job
 	q.depth++
 	snap := *job
 	q.mu.Unlock()
@@ -242,7 +228,7 @@ func (q *Queue) Submit(req JobRequest) (Job, error) {
 func (q *Queue) Get(id string) (Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	job, ok := q.byID[id]
+	job, ok := q.table.byID[id]
 	if !ok {
 		return Job{}, false
 	}
@@ -253,11 +239,7 @@ func (q *Queue) Get(id string) (Job, bool) {
 func (q *Queue) List() []Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]Job, 0, len(q.order))
-	for _, id := range q.order {
-		out = append(out, *q.byID[id])
-	}
-	return out
+	return q.table.list()
 }
 
 // Depth returns the number of non-terminal jobs (queued + running).
@@ -279,32 +261,31 @@ func (q *Queue) notify(snap Job) {
 	}
 }
 
-// transition updates a job under the lock, journals it under persistOp
-// (when set and a journal is attached) and reports the snapshot. Holding
-// the lock across the journal append keeps the log order identical to the
-// in-memory order.
-func (q *Queue) transition(job *Job, persistOp string, fn func(*Job)) {
+// transition applies a job's start or finish record under the lock and
+// reports the new snapshot. A journaled transition writes the record
+// ahead; it cannot be refused, so a journal failure goes to persistErr.
+// Teardown's cancellations are deliberately not journaled: a job whose log
+// ends at "submitted" is re-enqueued by the next process, one whose log
+// ends at "started" comes back interrupted.
+func (q *Queue) transition(job *Job, rec durableOp, journaled bool) {
 	q.mu.Lock()
-	fn(job)
+	if journaled {
+		if err := q.persist.write(rec); err != nil && q.persistErr != nil {
+			q.persistErr(err)
+		}
+	}
+	_ = rec.apply(opTarget{q: q})
 	if job.State.Terminal() {
 		q.depth--
 	}
 	snap := *job
-	if persistOp != "" && q.persist != nil {
-		var rec any
-		switch persistOp {
-		case opJobStart:
-			rec = jobStartRec{ID: snap.ID, Started: *snap.Started}
-		case opJobFinish:
-			rec = jobFinishRec{ID: snap.ID, State: snap.State, Error: snap.Error,
-				Result: snap.Result, Finished: *snap.Finished}
-		}
-		if err := q.persist(persistOp, rec); err != nil && q.persistErr != nil {
-			q.persistErr(err)
-		}
-	}
 	q.mu.Unlock()
 	q.notify(snap)
+}
+
+// stopped is the unjournaled finish a queue teardown gives a job.
+func stopped(job *Job, state JobState, msg string) *jobFinishRec {
+	return &jobFinishRec{ID: job.ID, State: state, Error: msg, Finished: time.Now().UTC()}
 }
 
 func (q *Queue) worker(ctx context.Context) {
@@ -327,19 +308,10 @@ func (q *Queue) runOne(ctx context.Context, job *Job) {
 		// Queue torn down before the job ran. With a journal attached the
 		// job stays "queued" on disk (no terminal record) and the next
 		// process re-enqueues it; in memory it reads canceled.
-		q.transition(job, "", func(j *Job) {
-			j.State = JobCanceled
-			j.Error = "queue shut down before the job ran"
-			now := time.Now().UTC()
-			j.Finished = &now
-		})
+		q.transition(job, stopped(job, JobCanceled, "queue shut down before the job ran"), false)
 		return
 	}
-	q.transition(job, opJobStart, func(j *Job) {
-		j.State = JobRunning
-		now := time.Now().UTC()
-		j.Started = &now
-	})
+	q.transition(job, &jobStartRec{ID: job.ID, Started: time.Now().UTC()}, true)
 	runCtx := ctx
 	if q.timeout > 0 {
 		var cancel context.CancelFunc
@@ -351,25 +323,14 @@ func (q *Queue) runOne(ctx context.Context, job *Job) {
 		// The queue's own context died mid-run (shutdown or Kill), not the
 		// per-job timeout. Journaling no finish record leaves the log at
 		// "started", which replays as interrupted — exactly what happened.
-		q.transition(job, "", func(j *Job) {
-			j.State = JobInterrupted
-			j.Error = "job interrupted by shutdown; resubmit to retry"
-			now := time.Now().UTC()
-			j.Finished = &now
-		})
+		q.transition(job, stopped(job, JobInterrupted, "job interrupted by shutdown; resubmit to retry"), false)
 		return
 	}
-	q.transition(job, opJobFinish, func(j *Job) {
-		now := time.Now().UTC()
-		j.Finished = &now
-		if err != nil {
-			j.State = JobFailed
-			j.Error = err.Error()
-			return
-		}
-		j.State = JobDone
-		j.Result = res
-	})
+	rec := &jobFinishRec{ID: job.ID, State: JobDone, Result: res, Finished: time.Now().UTC()}
+	if err != nil {
+		rec.State, rec.Error, rec.Result = JobFailed, err.Error(), nil
+	}
+	q.transition(job, rec, true)
 }
 
 // Shutdown stops intake and waits for the workers to drain in-flight work,
@@ -403,12 +364,7 @@ func (q *Queue) Shutdown(ctx context.Context) error {
 	// leftovers are re-enqueued by the next process; in memory they read
 	// canceled either way.
 	for job := range q.jobs {
-		q.transition(job, "", func(j *Job) {
-			j.State = JobCanceled
-			j.Error = "queue shut down before the job ran"
-			now := time.Now().UTC()
-			j.Finished = &now
-		})
+		q.transition(job, stopped(job, JobCanceled, "queue shut down before the job ran"), false)
 	}
 	q.cancel()
 	return err
@@ -429,52 +385,58 @@ func (q *Queue) Kill() {
 	q.wg.Wait()
 }
 
-// Restore seeds the queue with jobs recovered from the journal, before the
-// queue is exposed to traffic. Queued (and running — i.e. interrupted mid-
-// flight) jobs are re-enqueued or marked interrupted; terminal jobs keep
-// their recorded state. nextID continues the recovered ID sequence.
-func (q *Queue) Restore(jobs []Job, nextID int) (requeued, interrupted int) {
+// Restore resumes the job table recovered from the journal, before the
+// queue is exposed to traffic (or on promotion). Queued jobs are
+// re-enqueued, running ones — interrupted mid-flight — and any backlog
+// beyond the buffer are marked interrupted; terminal jobs keep their
+// recorded state.
+func (q *Queue) Restore() (requeued, interrupted int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if nextID > q.nextID {
-		q.nextID = nextID
-	}
-	for i := range jobs {
-		job := jobs[i] // private copy; the queue owns the live record
+	for _, job := range q.table.order {
+		var msg string
 		switch job.State {
 		case JobQueued:
 			select {
-			case q.jobs <- &job:
+			case q.jobs <- job:
 				q.depth++
 				requeued++
+				continue
 			default:
-				// The recovered backlog exceeds this process's buffer.
-				job.State = JobInterrupted
-				job.Error = "job recovered but the queue buffer is smaller than the backlog; resubmit to retry"
-				now := time.Now().UTC()
-				job.Finished = &now
-				interrupted++
+				msg = "job recovered but the queue buffer is smaller than the backlog; resubmit to retry"
 			}
 		case JobRunning:
-			job.State = JobInterrupted
-			job.Error = "job interrupted by server restart; resubmit to retry"
-			now := time.Now().UTC()
-			job.Finished = &now
-			interrupted++
+			msg = "job interrupted by server restart; resubmit to retry"
+		default:
+			continue
 		}
-		q.byID[job.ID] = &job
-		q.order = append(q.order, job.ID)
+		now := time.Now().UTC()
+		job.State, job.Error, job.Finished = JobInterrupted, msg, &now
+		interrupted++
 	}
 	return requeued, interrupted
 }
 
-// snapshotState returns every job plus the ID counter for compaction.
-func (q *Queue) snapshotState() ([]Job, int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	jobs := make([]Job, 0, len(q.order))
-	for _, id := range q.order {
-		jobs = append(jobs, *q.byID[id])
+// jobTable is a workspace's jobs in submission order, indexed by ID, plus
+// the ID counter. The queue owns it on leaders and followers alike: the
+// job records apply to it live, in recovery and on a replica, and
+// captureState and installState carry it through snapshots.
+type jobTable struct {
+	order  []*Job
+	byID   map[string]*Job
+	nextID int
+}
+
+func (t *jobTable) add(job *Job) {
+	t.byID[job.ID] = job
+	t.order = append(t.order, job)
+}
+
+// list copies every job in submission order.
+func (t *jobTable) list() []Job {
+	out := make([]Job, 0, len(t.order))
+	for _, job := range t.order {
+		out = append(out, *job)
 	}
-	return jobs, q.nextID
+	return out
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -337,5 +338,56 @@ func TestSchemasPostRawFormatParam(t *testing.T) {
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusCreated {
 		t.Fatalf("raw jsonschema upload status %d", res.StatusCode)
+	}
+}
+
+// TestSnapshotRestoresAfterIntegrationResave: rows loaded under a saved
+// integration's schema go with that schema when a re-save replaces it with
+// a different one, so a snapshot taken afterwards still restores — it
+// rebuilds instance stores from what their schema names denote at capture
+// time.
+func TestSnapshotRestoresAfterIntegrationResave(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := openDurable(t, dir, journal.Hooks{})
+	st := srv.Store()
+	ddl, err := os.ReadFile("../../testdata/paper.ecr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AddSchemasDDL(string(ddl)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := st.SaveIntegration("paper", "sc1", "sc2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.LoadRows(info.Schema, "Department", []instance.Row{{"Dname": "CS"}}); err != nil {
+		t.Fatal(err)
+	}
+	// The paper's assertions change the integrated schema under the same
+	// name: Department is merged and renamed.
+	if err := st.DeclareEquivalence("sc1", "Department.Dname", "sc2", "Department.Dname"); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range paperAssertions() {
+		if _, _, err := st.Assert(a.Schema1, a.Object1, a.Code, a.Schema2, a.Object2, a.Relationship); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.SaveIntegration("paper", "sc1", "sc2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Kill()
+
+	srv2, _ := openDurable(t, dir, journal.Hooks{})
+	defer srv2.Kill()
+	st2 := srv2.Store()
+	st2.mu.RLock()
+	defer st2.mu.RUnlock()
+	if st2.instances[info.Schema] != nil {
+		t.Fatalf("rows loaded under the replaced %s schema survived the re-save", info.Schema)
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/replication"
-	"repro/internal/session"
 )
 
 // FollowerConfig parameterizes follower mode (Config.Follow).
@@ -111,97 +110,15 @@ func (f *followState) lagSnapshot() map[string]ReplicaLag {
 	return out
 }
 
-// replicaState is a follower workspace's applied state beyond the store:
-// the job table as the leader's stream describes it (jobs here were run by
-// the leader; the follower never executes them) and the last applied
-// sequence number. The single apply loop is the only writer; reads (job
-// listings, lag reports, snapshot capture) take the same lock, so a capture
-// can never observe a half-applied record.
+// replicaState marks a follower workspace's replica position: the last
+// applied sequence number. The single apply loop is the only writer, and
+// holds mu across each apply; snapshot capture holds it too, so a capture
+// can never observe a half-applied record. The replica's job table lives
+// in its queue like any workspace's (jobs here were run by the leader; the
+// follower never executes them).
 type replicaState struct {
 	mu         sync.Mutex
-	jobs       []Job          // guarded by mu
-	byID       map[string]int // guarded by mu
-	nextJobID  int            // guarded by mu
-	appliedSeq uint64         // guarded by mu
-}
-
-// capture renders the replica's persisted state for compaction and for
-// re-serving snapshots to downstream followers. Holding rep.mu across the
-// whole capture (locking st.mu inside, the same order ApplyFrame uses)
-// makes the state exact for appliedSeq: the apply loop cannot slip a
-// record in between reading the sequence number and marshaling the store.
-func (rep *replicaState) capture(s *Server, ws *Workspace) (state []byte, uptoSeq uint64, err error) {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	uptoSeq = rep.appliedSeq
-	st := ws.store
-	st.mu.Lock()
-	wsData, err := session.Marshal(st.ws)
-	var ints []saveIntegrationRec
-	var rows []loadRowsRec
-	if err == nil {
-		ints, rows, err = st.federationSnapshotLocked()
-	}
-	st.mu.Unlock()
-	if err != nil {
-		return nil, 0, err
-	}
-	jobs := append([]Job(nil), rep.jobs...)
-	state, err = json.Marshal(persistedState{
-		Workspace: wsData, Jobs: jobs, NextJobID: rep.nextJobID, Keys: s.snapshotKeys(ws.name),
-		Integrations: ints, Rows: rows,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return state, uptoSeq, nil
-}
-
-// jobsSnapshot copies the replica's job table.
-func (rep *replicaState) jobsSnapshot() []Job {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	return append([]Job(nil), rep.jobs...)
-}
-
-// jobGet looks a job up in the replica's table.
-func (rep *replicaState) jobGet(id string) (Job, bool) {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if i, ok := rep.byID[id]; ok {
-		return rep.jobs[i], true
-	}
-	return Job{}, false
-}
-
-// jobsView returns the workspace's job table: the replica's applied table
-// on a follower, the live queue's otherwise.
-func (ws *Workspace) jobsView() []Job {
-	if rep := ws.replica.Load(); rep != nil {
-		return rep.jobsSnapshot()
-	}
-	return ws.queue.List()
-}
-
-// jobView looks one job up by ID, replica-aware like jobsView.
-func (ws *Workspace) jobView(id string) (Job, bool) {
-	if rep := ws.replica.Load(); rep != nil {
-		return rep.jobGet(id)
-	}
-	return ws.queue.Get(id)
-}
-
-// armReplica wires a recovered (or freshly created) workspace as a follower
-// replica: the journal is held by a persister for teardown and observation,
-// but nothing journals through the store or queue — every append flows
-// through the replication apply path — and the compaction loop stays
-// parked (the sync loop compacts synchronously; promotion starts the loop).
-func (s *Server) armReplica(ws *Workspace, j *journal.Journal, jobs []Job, byID map[string]int, nextID int) {
-	ws.persist = &persister{j: j, every: s.dcfg.SnapshotEvery, stop: make(chan struct{}), done: make(chan struct{})}
-	j.SetObserver(func(fsync time.Duration, err error) {
-		s.metrics.ObserveJournalAppend(fsync, err)
-	})
-	ws.replica.Store(&replicaState{jobs: jobs, byID: byID, nextJobID: nextID, appliedSeq: j.Seq()})
+	appliedSeq uint64 // guarded by mu
 }
 
 // startFollowing validates the follower configuration and launches the sync
@@ -298,7 +215,8 @@ func (s *Server) syncRound(f *followState) (applied int, longPolled bool, err er
 	var firstErr error
 	for _, stat := range list {
 		leaderHas[stat.Name] = true
-		if _, err := s.ensureReplicaWorkspace(stat.Name); err != nil {
+		ws, err := s.ensureReplicaWorkspace(stat.Name)
+		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("workspace %q: %w", stat.Name, err)
 			}
@@ -320,8 +238,7 @@ func (s *Server) syncRound(f *followState) (applied int, longPolled bool, err er
 		if p.Bootstrapped {
 			f.snapshotsFetched.Add(1)
 		}
-		s.recordLag(f, stat.Name, p)
-		s.maybeCompactReplica(stat.Name)
+		s.recordLag(f, ws, p)
 	}
 
 	// Drop local workspaces the leader no longer has. Delete refuses the
@@ -354,33 +271,15 @@ func (s *Server) ensureReplicaWorkspace(name string) (*Workspace, error) {
 
 // recordLag updates the follower's per-workspace lag table from one sync
 // round's progress.
-func (s *Server) recordLag(f *followState, name string, p replication.Progress) {
+func (s *Server) recordLag(f *followState, ws *Workspace, p replication.Progress) {
 	l := ReplicaLag{AppliedSeq: p.AppliedSeq, LeaderSeq: p.LeaderSeq}
 	if p.LeaderSeq > p.AppliedSeq {
 		l.LagRecords = p.LeaderSeq - p.AppliedSeq
 	}
-	if ws, err := s.manager.Get(name); err == nil && ws.persist != nil {
-		if local := ws.persist.j.Offset(); p.LeaderOffset > local {
-			l.LagBytes = p.LeaderOffset - local
-		}
+	if local := ws.persist.j.Offset(); p.LeaderOffset > local {
+		l.LagBytes = p.LeaderOffset - local
 	}
-	f.setLag(name, l)
-}
-
-// maybeCompactReplica compacts a replica workspace's journal when enough
-// records accumulated. Runs synchronously from the sync loop — the replica
-// has no compaction goroutine — so a capture never races an apply.
-func (s *Server) maybeCompactReplica(name string) {
-	ws, err := s.manager.Get(name)
-	if err != nil || ws.persist == nil {
-		return
-	}
-	if ws.persist.j.SinceCompact() < uint64(s.dcfg.SnapshotEvery) {
-		return
-	}
-	if err := s.compactWorkspace(ws); err != nil && s.log != nil {
-		s.log.Error("compact replica", "workspace", ws.name, "error", err)
-	}
+	f.setLag(ws.name, l)
 }
 
 // followerTarget adapts the server to replication.Target: frames are
@@ -391,87 +290,68 @@ type followerTarget struct {
 }
 
 func (t followerTarget) AppliedSeq(name string) (uint64, error) {
-	ws, err := t.s.ensureReplicaWorkspace(name)
+	_, rep, err := t.replica(name)
 	if err != nil {
 		return 0, err
-	}
-	rep := ws.replica.Load()
-	if rep == nil {
-		return 0, fmt.Errorf("workspace %q is not a replica", name)
 	}
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
 	return rep.appliedSeq, nil
 }
 
-// Bootstrap replaces the replica wholesale with a leader snapshot: the
-// journal is reset first (durability before visibility — a crash between
-// the two steps recovers the snapshot's consistent state), then the store
-// and job table are swapped under the replica lock.
-//
-// The //sit:bootstrap list is the follower-seed contract: every journal
-// op whose effect a freshly seeded follower restores from the shipped
-// snapshot. An op missing here means a follower would silently diverge.
-//
-//sit:bootstrap opAddSchemas opRemoveSchema opDeclareEquiv opAssert opRetract
-//sit:bootstrap opJobSubmit opJobStart opJobFinish
-//sit:bootstrap opSaveIntegration opLoadRows opSetKeys
-func (t followerTarget) Bootstrap(name string, snap replication.Snapshot) error {
+// replica resolves a follower workspace and its replica state.
+func (t followerTarget) replica(name string) (*Workspace, *replicaState, error) {
 	ws, err := t.s.ensureReplicaWorkspace(name)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	rep := ws.replica.Load()
 	if rep == nil || ws.persist == nil {
-		return fmt.Errorf("workspace %q is not a replica", name)
+		return nil, nil, fmt.Errorf("workspace %q is not a replica", name)
 	}
-	dec, err := decodePersistedState(snap.State)
+	return ws, rep, nil
+}
+
+// Bootstrap replaces the replica wholesale with a leader snapshot: the
+// snapshot is decoded, the journal reset to it (durability before
+// visibility — a crash between the two steps recovers the snapshot's
+// consistent state), and then installed under the replica lock through
+// the same installer recovery uses.
+func (t followerTarget) Bootstrap(name string, snap replication.Snapshot) error {
+	ws, rep, err := t.replica(name)
+	if err != nil {
+		return err
+	}
+	ps, wsState, err := decodeState(snap.State)
 	if err != nil {
 		return err
 	}
 	if err := ws.persist.j.ResetTo(snap.State, snap.Seq); err != nil {
 		return err
 	}
-	if name == DefaultWorkspace && len(dec.keys) > 0 {
-		if err := t.s.applyJournaledKeys(dec.keys); err != nil {
-			return err
-		}
-	}
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	ws.store.Replace(dec.ws)
-	if err := ws.store.restoreFederation(dec.integrations, dec.rows); err != nil {
-		return fmt.Errorf("restore federation state: %w", err)
+	if err := installState(t.s.target(ws), ps, wsState); err != nil {
+		return err
 	}
-	rep.jobs, rep.byID, rep.nextJobID = dec.jobs, dec.byID, dec.nextJobID
 	rep.appliedSeq = snap.Seq
 	return nil
 }
 
 // ApplyFrame journals one raw frame (no locks held across the disk write)
-// and then applies its record to the store and job table under the replica
-// lock — the same order mutations commit on the leader.
-//
-//sit:replay
+// and then replays its record under the replica lock — the same order
+// mutations commit on the leader.
 func (t followerTarget) ApplyFrame(name string, line []byte, rec replication.Record) error {
-	ws, err := t.s.ensureReplicaWorkspace(name)
+	ws, rep, err := t.replica(name)
 	if err != nil {
 		return err
-	}
-	rep := ws.replica.Load()
-	if rep == nil || ws.persist == nil {
-		return fmt.Errorf("workspace %q is not a replica", name)
 	}
 	if _, err := ws.persist.j.AppendFrame(line); err != nil {
 		return err
 	}
-	var keysHook func([]apiKeyEntry) error
-	if name == DefaultWorkspace {
-		keysHook = t.s.applyJournaledKeys
-	}
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if err := applyRecord(ws.store, rec, rep.byID, &rep.jobs, &rep.nextJobID, keysHook); err != nil {
+	if err := replay(t.s.target(ws), rec); err != nil {
 		return fmt.Errorf("apply journaled record %d (%s): %w", rec.Seq, rec.Op, err)
 	}
 	rep.appliedSeq = rec.Seq
@@ -668,7 +548,7 @@ func (s *Server) handleReplRecords(w http.ResponseWriter, r *http.Request) {
 // waited out, then every replica workspace is re-armed for writes — the
 // journal hooks onto the store and queue, the recovered job table restored
 // (leader-queued jobs start executing here, leader-running jobs come back
-// interrupted), the compaction loop started. Explicit and manual by design:
+// interrupted). Explicit and manual by design:
 // the operator (or their failover tooling) decides when the old leader is
 // really gone.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
@@ -695,18 +575,13 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 	requeued, interrupted := 0, 0
 	for _, ws := range s.manager.List() {
-		rep := ws.replica.Load()
-		if rep == nil || ws.persist == nil {
+		if ws.replica.Load() == nil || ws.persist == nil {
 			continue
 		}
-		rep.mu.Lock()
-		jobs := append([]Job(nil), rep.jobs...)
-		nextID := rep.nextJobID
-		rep.mu.Unlock()
 		ws.replica.Store(nil)
 		ws.store.SetMaxSchemas(s.limits.MaxSchemas)
 		ws.queue.SetMaxJobs(s.limits.MaxJobs)
-		rq, ir := s.armJournal(ws, ws.persist.j, jobs, nextID)
+		rq, ir := s.armWrites(ws)
 		requeued += rq
 		interrupted += ir
 	}

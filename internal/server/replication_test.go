@@ -9,10 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/instance"
 	"repro/internal/journal"
+	"repro/internal/replication"
 )
 
 // openFollower opens a durable follower of the leader at base, polling fast
@@ -448,4 +451,81 @@ func TestShutdownWhileFollowing(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool {
 		return len(schemasOn(t, fs.Client(), fs.URL)) == 2
 	}, "restarted follower to serve reads")
+}
+
+// TestBootstrapIsAtomicForReaders: a follower's bootstrap installs the
+// snapshot's schemas together with its federation state, so readers racing
+// repeated bootstraps never see the schemas without the saved integration
+// or the loaded rows.
+func TestBootstrapIsAtomicForReaders(t *testing.T) {
+	leader, _ := openDurable(t, t.TempDir(), journal.Hooks{})
+	defer leader.Kill()
+	ddl, err := os.ReadFile("../../testdata/paper.ecr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := leader.Store()
+	if _, err := st.AddSchemasDDL(string(ddl)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.SaveIntegration("paper", "sc1", "sc2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.LoadRows("sc1", "Student", []instance.Row{{"Name": "Amy"}, {"Name": "Bob"}}); err != nil {
+		t.Fatal(err)
+	}
+	state, seq, err := leader.captureState(leader.defaultWS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := replication.Snapshot{Seq: seq, State: state}
+
+	follower := newServer(Config{Workers: 1, QueueCapacity: 4,
+		Follow: &FollowerConfig{Leader: "http://127.0.0.1:1"}}.withDefaults(),
+		&DurabilityConfig{Dir: t.TempDir(), SnapshotEvery: 1 << 30})
+	defer follower.Kill()
+	target := followerTarget{follower}
+	if err := target.Bootstrap(DefaultWorkspace, snap); err != nil {
+		t.Fatal(err)
+	}
+	fst := mustWorkspace(t, follower, DefaultWorkspace).store
+
+	var torn atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if len(fst.Integrations()) != 1 {
+					torn.Add(1)
+				}
+				fst.mu.RLock()
+				rows := 0
+				if is := fst.instances["sc1"]; is != nil {
+					rows = is.Count("Student")
+				}
+				fst.mu.RUnlock()
+				if rows != 2 {
+					torn.Add(1)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		if err := target.Bootstrap(DefaultWorkspace, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := torn.Load(); n > 0 {
+		t.Fatalf("%d reads saw a half-installed snapshot", n)
+	}
 }

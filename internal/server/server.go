@@ -113,11 +113,9 @@ type Server struct {
 	keyMu sync.Mutex
 	// keysPath remembers the -keys file for ReloadKeys/SIGHUP.
 	keysPath string // guarded by keyMu
-	// keysJournaled is the canonical JSON of the last journaled (or
-	// replayed) key set, the journalKeys dedupe check; keyEntries is the
-	// same set in entry form, for snapshots.
-	keysJournaled string        // guarded by keyMu
-	keyEntries    []apiKeyEntry // guarded by keyMu
+	// keyEntries is the last journaled (or replayed) key set: the
+	// journalKeys dedupe check, and what snapshots carry.
+	keyEntries []apiKeyEntry // guarded by keyMu
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -193,23 +191,20 @@ func (s *Server) followerAtBuild() bool {
 	return s.cfg.Follow != nil && !s.promoted.Load()
 }
 
-// buildWorkspace provisions a brand-new workspace (Manager.Create hook):
-// an empty store — or the configured seed for the first default — plus, on
-// durable servers, a fresh journal directory.
+// buildWorkspace provisions a brand-new workspace (Manager.Create hook): on
+// a durable server, one recovered from its fresh journal directory;
+// otherwise an empty store — or the configured seed for the first default.
 func (s *Server) buildWorkspace(name string) (*Workspace, error) {
+	if s.dcfg != nil {
+		ws, _, err := s.recoverWorkspace(name)
+		return ws, err
+	}
 	st := NewStore()
 	if name == DefaultWorkspace && s.seed != nil {
 		st = s.seed
 		s.seed = nil
 	}
-	ws := s.newWorkspaceFrom(name, st)
-	if s.dcfg != nil {
-		if err := s.openWorkspaceJournal(ws); err != nil {
-			ws.queue.Kill()
-			return nil, err
-		}
-	}
-	return ws, nil
+	return s.newWorkspaceFrom(name, st), nil
 }
 
 // destroyWorkspace releases a deleted workspace's resources: the queue is

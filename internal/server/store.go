@@ -70,7 +70,7 @@ type Store struct {
 	// (write-ahead): mutations are pre-validated, then journaled, then
 	// applied, so an operation the journal rejected never reaches memory
 	// and an operation in the journal always replays cleanly.
-	persist func(op string, v any) error // guarded by mu
+	persist journalFn // guarded by mu
 	// maxSchemas, when positive, caps how many schemas the store may hold.
 	// Checked before journaling, so a quota rejection never reaches the log;
 	// replica stores leave it 0 — replicated records must always apply.
@@ -149,41 +149,24 @@ func NewStoreFrom(ws *session.Workspace) *Store {
 	}
 }
 
-// Replace swaps the store's workspace wholesale — the replica-bootstrap
-// path, where a snapshot shipped from the leader supersedes everything the
-// store held. All caches are invalidated. The caller must not touch the
-// workspace afterwards.
-func (st *Store) Replace(ws *session.Workspace) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.ws = ws
-	// The snapshot supersedes the federation state too; the bootstrap path
-	// reinstalls the snapshot's copy via restoreFederation right after.
-	st.integrations = map[string]*savedIntegration{}
-	st.instances = map[string]*instance.Store{}
-	st.rowLog = nil
-	st.schemaGen++
-	st.touch()
-}
-
 // SetPersist installs the write-ahead hook (nil disables journaling).
-// Call before the store is shared; replay during recovery runs with the
-// hook unset so replayed operations are not re-journaled.
+// Call before the store is shared. Replay applies records without it, so
+// replayed operations are never re-journaled.
 func (st *Store) SetPersist(fn func(op string, v any) error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.persist = fn
 }
 
-// journal write-aheads one mutation; callers hold the write lock and have
-// already validated that the operation will apply cleanly.
+// commit journals rec and then applies it — the live path of every store
+// op; callers hold the write lock and have validated rec.
 //
 //sit:locked mu
-func (st *Store) journal(op string, v any) error {
-	if st.persist == nil {
-		return nil
+func (st *Store) commit(rec durableOp) error {
+	if err := st.persist.write(rec); err != nil {
+		return err
 	}
-	return st.persist(op, v)
+	return rec.apply(opTarget{st: st})
 }
 
 func resultKey(a, b string) string {
@@ -292,8 +275,8 @@ func (st *Store) AddSchemas(schemas []*ecr.Schema) ([]string, error) {
 		return nil, fmt.Errorf("server: schema %w: workspace holds %d of %d and the request adds %d",
 			ErrQuota, have, st.maxSchemas, len(schemas))
 	}
+	rec := &addSchemasRec{decoded: schemas}
 	if st.persist != nil {
-		rec := addSchemasRec{}
 		for _, s := range schemas {
 			data, err := ecr.EncodeJSON(s)
 			if err != nil {
@@ -301,19 +284,14 @@ func (st *Store) AddSchemas(schemas []*ecr.Schema) ([]string, error) {
 			}
 			rec.Schemas = append(rec.Schemas, json.RawMessage(data))
 		}
-		if err := st.journal(opAddSchemas, rec); err != nil {
-			return nil, err
-		}
 	}
-	var names []string
+	if err := st.commit(rec); err != nil {
+		return nil, err
+	}
+	names := make([]string, 0, len(schemas))
 	for _, s := range schemas {
-		if err := st.ws.AddSchema(s); err != nil {
-			return nil, err // unreachable after the pre-checks above
-		}
 		names = append(names, s.Name)
 	}
-	st.schemaGen++
-	st.touch()
 	return names, nil
 }
 
@@ -385,51 +363,44 @@ func (st *Store) RemoveSchema(name string) (found bool, err error) {
 	if st.ws.Schema(name) == nil {
 		return false, nil
 	}
-	if err := st.journal(opRemoveSchema, removeSchemaRec{Name: name}); err != nil {
-		return true, err
-	}
-	st.ws.RemoveSchema(name)
-	st.pruneFederationLocked(name)
-	st.schemaGen++
-	st.touch()
-	return true, nil
+	return true, st.commit(&removeSchemaRec{Name: name})
 }
 
 // DeclareEquivalence resolves "object.attribute" references against the two
 // named schemas and places the attributes in one equivalence class.
 func (st *Store) DeclareEquivalence(schema1, ref1, schema2, ref2 string) error {
+	rec := &declareEquivRec{Schema1: schema1, Attr1: ref1, Schema2: schema2, Attr2: ref2}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s1, s2 := st.ws.Schema(schema1), st.ws.Schema(schema2)
+	if _, _, err := st.equivRefs(rec); err != nil {
+		return err
+	}
+	return st.commit(rec)
+}
+
+// equivRefs resolves a declaration's attribute references. Registry.Declare's
+// only failure mode is a same-object pair; it is checked here, so a
+// journaled declaration is guaranteed to replay.
+//
+//sit:locked mu
+func (st *Store) equivRefs(r *declareEquivRec) (a, b ecr.AttrRef, err error) {
+	s1, s2 := st.ws.Schema(r.Schema1), st.ws.Schema(r.Schema2)
 	if s1 == nil {
-		return fmt.Errorf("server: schema %q %w", schema1, ErrNotFound)
+		return a, b, fmt.Errorf("server: schema %q %w", r.Schema1, ErrNotFound)
 	}
 	if s2 == nil {
-		return fmt.Errorf("server: schema %q %w", schema2, ErrNotFound)
+		return a, b, fmt.Errorf("server: schema %q %w", r.Schema2, ErrNotFound)
 	}
-	a, err := core.ResolveAttr(s1, ref1)
-	if err != nil {
-		return err
+	if a, err = core.ResolveAttr(s1, r.Attr1); err != nil {
+		return a, b, err
 	}
-	b, err := core.ResolveAttr(s2, ref2)
-	if err != nil {
-		return err
+	if b, err = core.ResolveAttr(s2, r.Attr2); err != nil {
+		return a, b, err
 	}
-	// Registry.Declare's only failure mode is a same-object pair; check it
-	// here so the journaled record is guaranteed to replay.
 	if a.Schema == b.Schema && a.Object == b.Object {
-		return fmt.Errorf("equivalence: %s and %s belong to the same object class", a, b)
+		return a, b, fmt.Errorf("equivalence: %s and %s belong to the same object class", a, b)
 	}
-	if err := st.journal(opDeclareEquiv, declareEquivRec{
-		Schema1: schema1, Attr1: ref1, Schema2: schema2, Attr2: ref2,
-	}); err != nil {
-		return err
-	}
-	if err := st.ws.Registry().Declare(a, b); err != nil {
-		return err // unreachable after the pre-check above
-	}
-	st.touch()
-	return nil
+	return a, b, nil
 }
 
 // EquivalenceClasses returns the declared classes (each sorted), sorted by
@@ -556,29 +527,22 @@ func (st *Store) engineFor(schema1, object1, schema2, object2 string, rel bool) 
 // matrix keeps the assertion, as the interactive tool does, leaving
 // resolution to a later Retract.
 func (st *Store) Assert(schema1, object1 string, code int, schema2, object2 string, rel bool) (assertion.CloseResult, [][]string, error) {
-	kind, err := assertion.KindFromCode(code)
-	if err != nil {
+	if _, err := assertion.KindFromCode(code); err != nil {
 		return assertion.CloseResult{}, nil, err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	eng, err := st.engineFor(schema1, object1, schema2, object2, rel)
-	if err != nil {
+	if _, err := st.engineFor(schema1, object1, schema2, object2, rel); err != nil {
 		return assertion.CloseResult{}, nil, err
 	}
-	if err := st.journal(opAssert, assertRec{
+	rec := &assertRec{
 		Schema1: schema1, Object1: object1, Code: code,
 		Schema2: schema2, Object2: object2, Rel: rel,
-	}); err != nil {
+	}
+	if err := st.commit(rec); err != nil {
 		return assertion.CloseResult{}, nil, err
 	}
-	res := eng.AssertAndClose(
-		assertion.ObjKey{Schema: schema1, Object: object1},
-		assertion.ObjKey{Schema: schema2, Object: object2}, kind)
-	st.closureDerived.Add(uint64(len(res.Derived)))
-	st.closureConflicts.Add(uint64(len(res.Conflicts)))
-	st.touch()
-	return res, st.explainConflicts(eng, res.Conflicts), nil
+	return rec.res, st.explainConflicts(rec.eng, rec.res.Conflicts), nil
 }
 
 // Retract removes the DDA-specified assertion between the two structures,
@@ -593,29 +557,25 @@ func (st *Store) Retract(schema1, object1, schema2, object2 string, rel bool) (a
 	if err != nil {
 		return assertion.RetractResult{}, err
 	}
-	a := assertion.ObjKey{Schema: schema1, Object: object1}
-	b := assertion.ObjKey{Schema: schema2, Object: object2}
 	// Pre-validate so the journaled record always replays: an absent pair
 	// or a derived entry never reaches the log.
-	ent, ok := eng.Entry(a, b)
+	ent, ok := eng.Entry(
+		assertion.ObjKey{Schema: schema1, Object: object1},
+		assertion.ObjKey{Schema: schema2, Object: object2})
 	if !ok {
 		return assertion.RetractResult{}, nil
 	}
 	if ent.Derived {
 		return assertion.RetractResult{}, &assertion.DerivedError{Entry: ent}
 	}
-	if err := st.journal(opRetract, retractRec{
+	rec := &retractRec{
 		Schema1: schema1, Object1: object1,
 		Schema2: schema2, Object2: object2, Rel: rel,
-	}); err != nil {
+	}
+	if err := st.commit(rec); err != nil {
 		return assertion.RetractResult{}, err
 	}
-	res, err := eng.Retract(a, b)
-	if err != nil {
-		return assertion.RetractResult{}, err // unreachable after the pre-checks above
-	}
-	st.touch()
-	return res, nil
+	return rec.res, nil
 }
 
 // ExplainAssertion returns the chain of DDA-specified assertions implying

@@ -75,9 +75,9 @@ type Workspace struct {
 	// Limits.WorkspaceRate is unset. The bucket carries its own lock.
 	bucket *bucket
 	// replica, while non-nil, marks the workspace as a follower replica:
-	// its job table lives here (applied from the leader's stream, never
-	// executed locally) and its store mutates only through the replication
-	// apply path. Promote swaps it back to nil.
+	// its store and job table mutate only through the replication apply
+	// path (jobs run on the leader, never here). Promote swaps it back to
+	// nil.
 	replica atomic.Pointer[replicaState]
 }
 

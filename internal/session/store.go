@@ -8,9 +8,11 @@
 package session
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/assertion"
@@ -220,6 +222,12 @@ func Marshal(w *Workspace) ([]byte, error) {
 		Schemas:      w.schemas,
 		Equivalences: w.registry.Classes(),
 	}
+	// Class numbers follow declaration history; ordering the classes by
+	// their first member makes equal workspaces encode byte-identically
+	// however they were built — live, replayed, or loaded from this form.
+	slices.SortFunc(st.Equivalences, func(a, b []ecr.AttrRef) int {
+		return cmp.Or(cmp.Compare(a[0].Schema, b[0].Schema), cmp.Compare(a[0].Object, b[0].Object), cmp.Compare(a[0].Attr, b[0].Attr))
+	})
 	collect := func(sets map[string]*assertion.Engine) []storedAssertion {
 		var keys []string
 		for k := range sets {
@@ -272,6 +280,11 @@ func Unmarshal(data []byte) (*Workspace, error) {
 		return nil, fmt.Errorf("session: decode workspace: %w", err)
 	}
 	w := NewWorkspace()
+	if st.Schemas != nil {
+		// An emptied workspace encodes "schemas": [] and a fresh one null;
+		// keep the two apart so Marshal(Unmarshal(data)) == data.
+		w.schemas = make([]*ecr.Schema, 0, len(st.Schemas))
+	}
 	for _, s := range st.Schemas {
 		if err := s.Validate(); err != nil {
 			return nil, err
@@ -281,8 +294,15 @@ func Unmarshal(data []byte) (*Workspace, error) {
 		}
 	}
 	for _, class := range st.Equivalences {
-		for i := 1; i < len(class); i++ {
-			if err := w.registry.Declare(class[0], class[i]); err != nil {
+		// Declare refuses a same-object pair, yet a class can hold two
+		// attributes of one object joined through a third: pair each member
+		// with the class's first member of another object, which keeps the
+		// pairs connected (a class with no such member fails as before).
+		for _, a := range class[1:] {
+			i := max(0, slices.IndexFunc(class, func(m ecr.AttrRef) bool {
+				return m.Schema != a.Schema || m.Object != a.Object
+			}))
+			if err := w.registry.Declare(class[i], a); err != nil {
 				return nil, fmt.Errorf("session: load equivalences: %w", err)
 			}
 		}

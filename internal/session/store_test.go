@@ -216,3 +216,41 @@ func TestSessionRunSavesOnEOF(t *testing.T) {
 		t.Errorf("workspace not saved on EOF: %v", err)
 	}
 }
+
+// TestMarshalRoundTripIsExact: a workspace decoded from its encoding
+// encodes to the same bytes. The cases are the ones a server snapshot must
+// survive: a class joining two attributes of one object through a third
+// (Declare refuses to pair those two directly), classes numbered in an
+// order other than their sorted one, and a workspace whose schemas were
+// all removed.
+func TestMarshalRoundTripIsExact(t *testing.T) {
+	joined := paperWorkspace(t)
+	if err := joined.Registry().Declare(
+		ecr.AttrRef{Schema: "sc1", Object: "Student", Kind: ecr.KindEntity, Attr: "GPA"},
+		ecr.AttrRef{Schema: "sc2", Object: "Faculty", Kind: ecr.KindEntity, Attr: "Name"},
+	); err != nil {
+		t.Fatal(err)
+	}
+	emptied := NewWorkspace()
+	if err := emptied.AddSchema(paperex.Sc1()); err != nil {
+		t.Fatal(err)
+	}
+	emptied.RemoveSchema("sc1")
+	for name, ws := range map[string]*Workspace{"joined class": joined, "emptied": emptied} {
+		data, err := Marshal(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Unmarshal(data)
+		if err != nil {
+			t.Fatalf("%s: decode own encoding: %v", name, err)
+		}
+		again, err := Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(data) {
+			t.Errorf("%s: re-encoding differs:\n%s\nwant\n%s", name, again, data)
+		}
+	}
+}
